@@ -277,8 +277,8 @@ func BenchmarkSection61_DWAdapted(b *testing.B) {
 
 // BenchmarkBeat isolates the cost of a single beat of the full stack at
 // several cluster sizes (throughput of the simulator itself). Workers is
-// left at the default (GOMAXPROCS), so this is the number a user gets
-// out of the box on the machine at hand.
+// left at the default (auto: work-based fan-out up to GOMAXPROCS), so
+// this is the number a user gets out of the box on the machine at hand.
 //
 // The ClockSyncFM series pins the shared coin pipeline of Remark 4.1 —
 // the default layout since PR 3 — so its trajectory in BENCH_beat.json
@@ -370,13 +370,21 @@ func BenchmarkResidentTenants(b *testing.B) {
 
 // BenchmarkBeatWorkers is the worker-count scaling series for the
 // parallel beat scheduler (PERF.md's methodology section): the same
-// full-stack beat at explicit worker counts. On a machine with fewer
-// cores than workers the extra workers are pure scheduling overhead, so
-// the series doubles as a measurement of that overhead's bound.
+// full-stack beat at explicit worker counts, plus the default auto
+// mode (workers=auto, Workers 0). The small sizes bracket the
+// crossover where a second worker starts to pay for its spawn and
+// wake-up, which sizes the scheduler's work-based cutoff; the auto rows
+// record what that cutoff chooses. On a machine with fewer cores than
+// workers the extra workers are pure scheduling overhead, so the series
+// doubles as a measurement of that overhead's bound.
 func BenchmarkBeatWorkers(b *testing.B) {
-	for _, cse := range []struct{ n, f int }{{16, 5}, {32, 10}} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("ClockSyncFM/n=%d/workers=%d", cse.n, workers), func(b *testing.B) {
+	for _, cse := range []struct{ n, f int }{{4, 1}, {7, 2}, {10, 3}, {16, 5}, {32, 10}} {
+		for _, workers := range []int{1, 2, 4, 8, 0} {
+			name := fmt.Sprint(workers)
+			if workers == 0 {
+				name = "auto"
+			}
+			b.Run(fmt.Sprintf("ClockSyncFM/n=%d/workers=%s", cse.n, name), func(b *testing.B) {
 				e := sim.New(sim.Config{N: cse.n, F: cse.f, Seed: 1, Workers: workers},
 					core.NewClockSyncProtocolLayout(64, coin.FMFactory{}, core.LayoutShared))
 				e.Run(8)

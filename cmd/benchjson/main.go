@@ -6,7 +6,14 @@
 //
 //	go test -run=NONE -bench=BenchmarkBeat -benchmem . | go run ./cmd/benchjson > BENCH_beat.json
 //
-// Gate mode compares two recorded runs and fails (exit 1) when any
+// Names are recorded without the -GOMAXPROCS suffix `go test` appends
+// on multi-core hosts (…/n=7-2 is stored as …/n=7 with "procs": 2), so
+// runs from hosts with different core counts compare entry by entry.
+// Repeated lines for one benchmark (-count=N) fold into one entry: the
+// median of each metric, plus the run count and the ns/op min and max.
+//
+// Gate mode compares two recorded runs and fails (exit 1) when a
+// baseline benchmark is missing from the new run, or when any
 // benchmark present in both regressed beyond the thresholds — ns/op
 // against -threshold, B/op and allocs/op against -memthreshold (the
 // memory gate locks in the payload-pooling win; tiny absolute jitters
@@ -31,21 +38,41 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
 
-// Result is one parsed benchmark line. Extra holds custom metrics such as
-// beats/convergence or agreement-rate.
+// Result is one benchmark: a parsed line, or the medians of its
+// repeated lines. Extra holds custom metrics such as beats/convergence
+// or agreement-rate. Procs is the GOMAXPROCS the run used (0: unknown,
+// in records written before it was kept).
 type Result struct {
 	Name        string             `json:"name"`
+	Procs       int                `json:"procs,omitempty"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
+	Runs        int                `json:"runs,omitempty"`
+	NsMin       float64            `json:"ns_min,omitempty"`
+	NsMax       float64            `json:"ns_max,omitempty"`
 	BytesPerOp  int64              `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64              `json:"allocs_per_op,omitempty"`
 	Extra       map[string]float64 `json:"extra,omitempty"`
+}
+
+// splitProcs strips the -GOMAXPROCS suffix `go test` appends to a
+// benchmark name when GOMAXPROCS > 1. A name without one ran at
+// GOMAXPROCS 1, which `go test` leaves unsuffixed.
+func splitProcs(name string) (string, int) {
+	if i := strings.LastIndexByte(name, '-'); i >= 0 {
+		if procs, err := strconv.Atoi(name[i+1:]); err == nil && procs > 0 {
+			return name[:i], procs
+		}
+	}
+	return name, 1
 }
 
 func main() {
@@ -70,13 +97,31 @@ func main() {
 		}
 		os.Exit(runMerge(flag.Arg(0), flag.Arg(1), *carry, os.Stdout))
 	}
-	var results []Result
-	sc := bufio.NewScanner(os.Stdin)
+	results, err := parseBench(os.Stdin, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(results); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
+
+// parseBench reads `go test -bench` output, echoing every line to echo
+// so the tool can sit in a pipeline without hiding output, and returns
+// one Result per benchmark in order of first appearance: names without
+// their -GOMAXPROCS suffix, repeated lines folded by foldRuns.
+func parseBench(in io.Reader, echo io.Writer) ([]Result, error) {
+	var order []string
+	runs := make(map[string][]Result)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		// Echo so the tool can sit in a pipeline without hiding output.
-		fmt.Fprintln(os.Stderr, line)
+		fmt.Fprintln(echo, line)
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -88,7 +133,8 @@ func main() {
 		if err != nil {
 			continue
 		}
-		r := Result{Name: fields[0], Iterations: iters}
+		r := Result{Iterations: iters}
+		r.Name, r.Procs = splitProcs(fields[0])
 		// Remaining fields come in (value, unit) pairs.
 		for i := 2; i+1 < len(fields); i += 2 {
 			val, err := strconv.ParseFloat(fields[i], 64)
@@ -109,18 +155,85 @@ func main() {
 				r.Extra[unit] = val
 			}
 		}
-		results = append(results, r)
+		if _, ok := runs[r.Name]; !ok {
+			order = append(order, r.Name)
+		}
+		runs[r.Name] = append(runs[r.Name], r)
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		return nil, err
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+	results := make([]Result, 0, len(order))
+	for _, name := range order {
+		results = append(results, foldRuns(runs[name]))
 	}
+	return results, nil
+}
+
+// foldRuns merges one benchmark's repeated lines (-count=N) into a
+// single Result holding the median of every metric, with the run count
+// and the ns/op range alongside. A single line is returned as is.
+func foldRuns(rs []Result) Result {
+	if len(rs) == 1 {
+		return rs[0]
+	}
+	med := func(get func(Result) float64) float64 {
+		xs := make([]float64, len(rs))
+		for i, r := range rs {
+			xs[i] = get(r)
+		}
+		sort.Float64s(xs)
+		m := len(xs) / 2
+		if len(xs)%2 == 0 {
+			return (xs[m-1] + xs[m]) / 2
+		}
+		return xs[m]
+	}
+	out := Result{
+		Name:        rs[0].Name,
+		Procs:       rs[0].Procs,
+		Runs:        len(rs),
+		Iterations:  int64(math.Round(med(func(r Result) float64 { return float64(r.Iterations) }))),
+		NsPerOp:     med(func(r Result) float64 { return r.NsPerOp }),
+		BytesPerOp:  int64(math.Round(med(func(r Result) float64 { return float64(r.BytesPerOp) }))),
+		AllocsPerOp: int64(math.Round(med(func(r Result) float64 { return float64(r.AllocsPerOp) }))),
+		NsMin:       rs[0].NsPerOp,
+		NsMax:       rs[0].NsPerOp,
+	}
+	for _, r := range rs {
+		out.NsMin = math.Min(out.NsMin, r.NsPerOp)
+		out.NsMax = math.Max(out.NsMax, r.NsPerOp)
+		for unit := range r.Extra {
+			if _, done := out.Extra[unit]; done {
+				continue
+			}
+			if out.Extra == nil {
+				out.Extra = make(map[string]float64)
+			}
+			out.Extra[unit] = med(func(r Result) float64 { return r.Extra[unit] })
+		}
+	}
+	return out
+}
+
+// loadResults reads a recorded run, normalizing names that still carry
+// a -GOMAXPROCS suffix (records written before the suffix was split
+// off) into the name plus Procs.
+func loadResults(path string) ([]Result, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var rs []Result
+	if err := json.Unmarshal(data, &rs); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	for i := range rs {
+		if name, procs := splitProcs(rs[i].Name); name != rs[i].Name {
+			rs[i].Name, rs[i].Procs = name, procs
+		}
+	}
+	return rs, nil
 }
 
 // runMerge writes the fresh recording plus any baseline entries whose
@@ -129,23 +242,12 @@ func main() {
 // deleted must not be resurrected from the baseline — so an empty
 // pattern makes the merge a plain copy of the fresh file.
 func runMerge(basePath, freshPath, carryRe string, out io.Writer) int {
-	loadList := func(path string) ([]Result, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var rs []Result
-		if err := json.Unmarshal(data, &rs); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return rs, nil
-	}
-	base, err := loadList(basePath)
+	base, err := loadResults(basePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		return 2
 	}
-	fresh, err := loadList(freshPath)
+	fresh, err := loadResults(freshPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		return 2
@@ -196,37 +298,29 @@ func memRegressed(old, new int64, thresholdPct float64, floor int64) bool {
 // throughput rather than what stays live between beats.
 const residentMetric = "resident-bytes/tenant"
 
-// runGate loads two recorded runs and reports per-benchmark deltas;
-// returns 1 when any benchmark present in both regressed beyond the
-// ns/op threshold, the B/op / allocs/op memory threshold, or the
-// resident-bytes/tenant threshold. Benchmarks present in only one file
-// are reported but never fail the gate (new or removed cases are
-// legitimate).
+// runGate loads two recorded runs and reports per-benchmark deltas,
+// matching entries by name without the -GOMAXPROCS suffix. It returns
+// 1 when any benchmark present in both regressed beyond the ns/op
+// threshold, the B/op / allocs/op memory threshold, or the
+// resident-bytes/tenant threshold, and when a baseline benchmark is
+// missing from the new run: a gate that silently passes vanished
+// entries cannot fail. scripts/bench.sh gates the -merge output, so
+// the entries -carry carries forward on purpose are present. New
+// benchmarks are reported but never fail the gate.
 func runGate(oldPath, newPath string, thresholdPct, memThresholdPct, residentThresholdPct float64) int {
-	load := func(path string) (map[string]Result, []Result, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		var rs []Result
-		if err := json.Unmarshal(data, &rs); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", path, err)
-		}
-		m := make(map[string]Result, len(rs))
-		for _, r := range rs {
-			m[r.Name] = r
-		}
-		return m, rs, nil
-	}
-	oldM, _, err := load(oldPath)
+	oldList, err := loadResults(oldPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		return 2
 	}
-	_, newList, err := load(newPath)
+	newList, err := loadResults(newPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		return 2
+	}
+	oldM := make(map[string]Result, len(oldList))
+	for _, r := range oldList {
+		oldM[r.Name] = r
 	}
 	failed := false
 	seen := make(map[string]bool, len(newList))
@@ -261,17 +355,22 @@ func runGate(oldPath, newPath string, thresholdPct, memThresholdPct, residentThr
 			}
 			resident = fmt.Sprintf("  %11.0f -> %11.0f resident-B/tenant (%+.1f%%)", ov, nv, (nv-ov)/ov*100)
 		}
-		fmt.Printf("%-14s%-45s %12.0f -> %12.0f ns/op (%+.1f%%)  %9d -> %9d B/op  %6d -> %6d allocs/op%s\n",
+		procs := ""
+		if or.Procs > 0 && nr.Procs > 0 && or.Procs != nr.Procs {
+			procs = fmt.Sprintf("  procs %d -> %d", or.Procs, nr.Procs)
+		}
+		fmt.Printf("%-14s%-45s %12.0f -> %12.0f ns/op (%+.1f%%)  %9d -> %9d B/op  %6d -> %6d allocs/op%s%s\n",
 			status, nr.Name, or.NsPerOp, nr.NsPerOp, deltaPct,
-			or.BytesPerOp, nr.BytesPerOp, or.AllocsPerOp, nr.AllocsPerOp, resident)
+			or.BytesPerOp, nr.BytesPerOp, or.AllocsPerOp, nr.AllocsPerOp, resident, procs)
 	}
-	for name := range oldM {
-		if !seen[name] {
-			fmt.Printf("REMOVED  %-45s (present in baseline only)\n", name)
+	for _, or := range oldList {
+		if !seen[or.Name] {
+			fmt.Printf("MISSING  %-45s (in the baseline, not in the new run)\n", or.Name)
+			failed = true
 		}
 	}
 	if failed {
-		fmt.Fprintf(os.Stderr, "benchjson: regression beyond thresholds (ns/op %.1f%%, mem %.1f%%, resident %.1f%%)\n",
+		fmt.Fprintf(os.Stderr, "benchjson: missing baseline entries or regression beyond thresholds (ns/op %.1f%%, mem %.1f%%, resident %.1f%%)\n",
 			thresholdPct, memThresholdPct, residentThresholdPct)
 		return 1
 	}

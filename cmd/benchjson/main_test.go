@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -165,5 +167,100 @@ func TestMergeCarriesMatchingBaselines(t *testing.T) {
 	// Empty pattern: plain copy of the fresh run, nothing resurrected.
 	if got := run(""); len(got) != 2 {
 		t.Fatalf("empty carry merged %d entries, want 2", len(got))
+	}
+}
+
+// parseLines runs the stdin parser over go test output.
+func parseLines(t *testing.T, lines ...string) []Result {
+	t.Helper()
+	rs, err := parseBench(strings.NewReader(strings.Join(lines, "\n")), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+// TestParseSplitsProcsAndFoldsRuns: the -GOMAXPROCS suffix moves into
+// Procs, and -count repeats fold into medians with the ns/op range.
+func TestParseSplitsProcsAndFoldsRuns(t *testing.T) {
+	rs := parseLines(t,
+		"goos: linux",
+		"BenchmarkBeat/ClockSyncFM/n=7-2   1000   90000 ns/op   800 B/op   20 allocs/op",
+		"BenchmarkBeat/ClockSyncFM/n=7-2   1000   70000 ns/op   800 B/op   22 allocs/op",
+		"BenchmarkBeat/ClockSyncFM/n=7-2   1000   80000 ns/op   800 B/op   21 allocs/op",
+		"BenchmarkBeatMultiTenant/ClockSyncFM/n=4/T=1000-8   25   5e7 ns/op   2e4 tenant-beats/sec",
+		"BenchmarkBeat/ClockSyncFM/n=4   5000   20000 ns/op",
+	)
+	if len(rs) != 3 {
+		t.Fatalf("parsed %d entries, want 3: %+v", len(rs), rs)
+	}
+	beat := rs[0]
+	if beat.Name != "BenchmarkBeat/ClockSyncFM/n=7" || beat.Procs != 2 {
+		t.Fatalf("suffix not split: %+v", beat)
+	}
+	if beat.Runs != 3 || beat.NsPerOp != 80000 || beat.NsMin != 70000 || beat.NsMax != 90000 || beat.AllocsPerOp != 21 {
+		t.Fatalf("runs not folded to medians: %+v", beat)
+	}
+	if mt := rs[1]; mt.Name != "BenchmarkBeatMultiTenant/ClockSyncFM/n=4/T=1000" || mt.Procs != 8 ||
+		mt.Extra["tenant-beats/sec"] != 2e4 || mt.Runs != 0 {
+		t.Fatalf("single run mis-parsed: %+v", mt)
+	}
+	if one := rs[2]; one.Name != "BenchmarkBeat/ClockSyncFM/n=4" || one.Procs != 1 {
+		t.Fatalf("unsuffixed name must read as GOMAXPROCS 1: %+v", one)
+	}
+}
+
+// TestGateMatchesAcrossProcs: a fresh multi-core run (…-2, …-8 names)
+// compares against a baseline recorded without the suffix, or with a
+// different one, so a regression fails the gate instead of reading as
+// NEW and REMOVED; a baseline entry the new run lacks fails it too.
+func TestGateMatchesAcrossProcs(t *testing.T) {
+	dir := t.TempDir()
+	fresh := func(lines ...string) string {
+		return writeRun(t, dir, "new.json", parseLines(t, lines...))
+	}
+	unsuffixed := writeRun(t, dir, "old.json", []Result{
+		{Name: "BenchmarkBeat/ClockSyncFM/n=7", Iterations: 1000, NsPerOp: 80000},
+		{Name: "BenchmarkBeat/ClockSyncFM/n=16", Iterations: 100, NsPerOp: 900000},
+	})
+	suffixed := writeRun(t, dir, "old2.json", []Result{
+		{Name: "BenchmarkBeat/ClockSyncFM/n=7-2", Iterations: 1000, NsPerOp: 80000},
+		{Name: "BenchmarkBeat/ClockSyncFM/n=16-2", Iterations: 100, NsPerOp: 900000},
+	})
+	cases := []struct {
+		name string
+		old  string
+		new  []string
+		want int
+	}{
+		{"-2 run within threshold", unsuffixed, []string{
+			"BenchmarkBeat/ClockSyncFM/n=7-2 1000 82000 ns/op",
+			"BenchmarkBeat/ClockSyncFM/n=16-2 100 880000 ns/op",
+		}, 0},
+		{"-2 run regressed", unsuffixed, []string{
+			"BenchmarkBeat/ClockSyncFM/n=7-2 1000 160000 ns/op",
+			"BenchmarkBeat/ClockSyncFM/n=16-2 100 880000 ns/op",
+		}, 1},
+		{"-8 run against a -2 baseline", suffixed, []string{
+			"BenchmarkBeat/ClockSyncFM/n=7-8 1000 79000 ns/op",
+			"BenchmarkBeat/ClockSyncFM/n=16-8 100 600000 ns/op",
+		}, 0},
+		{"-8 run regressed against a -2 baseline", suffixed, []string{
+			"BenchmarkBeat/ClockSyncFM/n=7-8 1000 79000 ns/op",
+			"BenchmarkBeat/ClockSyncFM/n=16-8 100 1900000 ns/op",
+		}, 1},
+		{"baseline entry missing", unsuffixed, []string{
+			"BenchmarkBeat/ClockSyncFM/n=7-2 1000 80000 ns/op",
+		}, 1},
+		{"new entry only added", unsuffixed, []string{
+			"BenchmarkBeat/ClockSyncFM/n=7-2 1000 80000 ns/op",
+			"BenchmarkBeat/ClockSyncFM/n=16-2 100 900000 ns/op",
+			"BenchmarkBeatWorkers/ClockSyncFM/n=7/workers=auto-2 1000 80000 ns/op",
+		}, 0},
+	}
+	for _, tc := range cases {
+		if got := runGate(tc.old, fresh(tc.new...), 15, 25, 10); got != tc.want {
+			t.Errorf("%s: gate returned %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }

@@ -55,7 +55,7 @@ func run() int {
 		shards   = flag.Int("shards", 1, "total shard count (run)")
 		shard    = flag.Int("shard", 0, "this process's shard index (run)")
 		procs    = flag.Int("procs", 0, "spawn this many worker processes, one shard each (run)")
-		workers  = flag.Int("workers", 1, "sim.Config.Workers per unit engine (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 1, "sim.Config.Workers per unit engine (0 = auto: work-based, up to GOMAXPROCS; N = exactly N)")
 		maxUnits = flag.Int("max-units", 0, "stop after this many fresh units (0 = no limit; simulates interruption)")
 		verbose  = flag.Bool("v", false, "print per-unit progress")
 	)

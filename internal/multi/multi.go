@@ -56,8 +56,10 @@ import (
 type Config struct {
 	// Tenants is T, the number of independent instances.
 	Tenants int
-	// Workers sizes the shared scheduler all phases fan out over. 0
-	// selects GOMAXPROCS, as in sim.Config.
+	// Workers sizes the shared scheduler the worker groups fan out
+	// over, as in sim.Config: 0 means auto (GOMAXPROCS groups, fanned
+	// out as far as their measured work pays for), N > 0 means exactly
+	// N.
 	Workers int
 	// Node is the per-tenant config template. Tenant t runs it with
 	// Seed+t (each tenant an independent seeded run); Workers, Pools

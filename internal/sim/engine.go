@@ -67,12 +67,13 @@ type Config struct {
 	// honest message into HonestBytes (slower; used by experiment E8).
 	CountBytes bool
 	// Workers is the number of goroutines the per-node-independent
-	// phases (Compose, Deliver, byte accounting) fan out over. 0 selects
-	// GOMAXPROCS; 1 runs fully inline. Every worker count replays
-	// byte-identically from the same seed: work assignment is
-	// deterministic, phase outputs go to per-node slots, and the
-	// adversary, metrics and inbox merge run sequentially between the
-	// parallel phases.
+	// phases (Compose, Deliver, recycle, byte accounting) fan out over.
+	// 0 means auto: each phase's fan-out follows its measured work, up
+	// to GOMAXPROCS, so phases too small to pay for a goroutine run
+	// inline. N > 0 means exactly N; 1 runs fully inline. Every worker
+	// count replays byte-identically from the same seed: phase outputs
+	// go to per-node slots, and the adversary, metrics and inbox merge
+	// run sequentially between the parallel phases.
 	Workers int
 	// Pool selects payload pooling (default: the SSBYZ_POOL environment
 	// variable). Pooled and unpooled runs replay byte-identically from

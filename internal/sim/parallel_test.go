@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ssbyzclock/internal/adversary"
 	"ssbyzclock/internal/coin"
@@ -41,7 +44,8 @@ func runTrace(cfg sim.Config, factory sim.NodeFactory, beats int) trace {
 
 // TestWorkerCountDeterminism is the core contract of the parallel
 // scheduler: for every adversary in the suite and several seeds, a run
-// at Workers=1 (fully inline, the sequential engine) and at Workers=8
+// at Workers=1 (fully inline, the sequential engine), at Workers=8 and
+// at Workers=0 (auto: each phase's width follows its measured work)
 // must produce identical clock trajectories and identical cumulative
 // metrics, byte for byte.
 func TestWorkerCountDeterminism(t *testing.T) {
@@ -74,17 +78,19 @@ func TestWorkerCountDeterminism(t *testing.T) {
 				factory := core.NewClockSyncProtocol(16, coin.FMFactory{})
 				cfg.Workers = 1
 				seq := runTrace(cfg, factory, 30)
-				cfg.Workers = 8
-				par := runTrace(cfg, factory, 30)
-				if !reflect.DeepEqual(seq.clocks, par.clocks) || !reflect.DeepEqual(seq.oks, par.oks) {
-					t.Fatal("clock trajectories diverged between Workers=1 and Workers=8")
-				}
-				if seq.honest != par.honest || seq.faulty != par.faulty || seq.hbytes != par.hbytes {
-					t.Fatalf("metrics diverged: seq={%d %d %d} par={%d %d %d}",
-						seq.honest, seq.faulty, seq.hbytes, par.honest, par.faulty, par.hbytes)
-				}
-				if seq.rawBeat != par.rawBeat {
-					t.Fatalf("beat counters diverged: %d vs %d", seq.rawBeat, par.rawBeat)
+				for _, workers := range []int{8, 0} {
+					cfg.Workers = workers
+					par := runTrace(cfg, factory, 30)
+					if !reflect.DeepEqual(seq.clocks, par.clocks) || !reflect.DeepEqual(seq.oks, par.oks) {
+						t.Fatalf("clock trajectories diverged between Workers=1 and Workers=%d", workers)
+					}
+					if seq.honest != par.honest || seq.faulty != par.faulty || seq.hbytes != par.hbytes {
+						t.Fatalf("Workers=%d: metrics diverged: seq={%d %d %d} par={%d %d %d}", workers,
+							seq.honest, seq.faulty, seq.hbytes, par.honest, par.faulty, par.hbytes)
+					}
+					if seq.rawBeat != par.rawBeat {
+						t.Fatalf("Workers=%d: beat counters diverged: %d vs %d", workers, seq.rawBeat, par.rawBeat)
+					}
 				}
 			})
 		}
@@ -133,8 +139,8 @@ func (g *gvssProto) Deliver(beat uint64, inbox []proto.Recv) {
 }
 
 // TestWorkerCountDeterminismGVSS runs full GVSS sessions under the
-// adversary suite at both worker counts and compares every honest node's
-// grade and recovery for every dealing.
+// adversary suite at Workers 1, 8 and 0 (auto) and compares every
+// honest node's grade and recovery for every dealing.
 func TestWorkerCountDeterminismGVSS(t *testing.T) {
 	advs := []struct {
 		name string
@@ -182,12 +188,14 @@ func TestWorkerCountDeterminismGVSS(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", ad.name, seed), func(t *testing.T) {
 				g1, r1 := snapshot(1, ad.mk, seed)
-				g8, r8 := snapshot(8, ad.mk, seed)
-				if !reflect.DeepEqual(g1, g8) {
-					t.Fatal("GVSS grades diverged between Workers=1 and Workers=8")
-				}
-				if !reflect.DeepEqual(r1, r8) {
-					t.Fatal("GVSS recoveries diverged between Workers=1 and Workers=8")
+				for _, workers := range []int{8, 0} {
+					g, r := snapshot(workers, ad.mk, seed)
+					if !reflect.DeepEqual(g1, g) {
+						t.Fatalf("GVSS grades diverged between Workers=1 and Workers=%d", workers)
+					}
+					if !reflect.DeepEqual(r1, r) {
+						t.Fatalf("GVSS recoveries diverged between Workers=1 and Workers=%d", workers)
+					}
 				}
 			})
 		}
@@ -205,10 +213,10 @@ func (a outOfRangeAdv) Act(_ uint64, composed []adversary.Sends, _ []adversary.I
 	out := make([]adversary.Sends, 0, len(composed))
 	for _, s := range composed {
 		out = append(out, adversary.Sends{From: s.From, Out: []proto.Send{
-			{To: a.ctx.N, Msg: core.BitMsg{B: 1}},      // one past the end
-			{To: a.ctx.N + 7, Msg: core.BitMsg{B: 1}},  // far out of range
-			{To: -2, Msg: core.BitMsg{B: 1}},           // negative, not Broadcast
-			{To: -1000000, Msg: core.BitMsg{B: 1}},     // very negative
+			{To: a.ctx.N, Msg: core.BitMsg{B: 1}},         // one past the end
+			{To: a.ctx.N + 7, Msg: core.BitMsg{B: 1}},     // far out of range
+			{To: -2, Msg: core.BitMsg{B: 1}},              // negative, not Broadcast
+			{To: -1000000, Msg: core.BitMsg{B: 1}},        // very negative
 			{To: proto.Broadcast, Msg: core.BitMsg{B: 1}}, // the only deliverable send
 		}})
 	}
@@ -309,6 +317,99 @@ func TestSchedulerCoversAllIndices(t *testing.T) {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
 				}
 			}
+		}
+	}
+}
+
+// TestAutoSchedulerWidthFollowsWork drives an auto-mode scheduler from
+// two call sites: a trivial closure, and one whose every item spins for
+// a worker's full share of work. The trivial site must stay inline
+// while the heavy one, once measured, fans out to the worker cap; every
+// index runs exactly once, and no WorkerScratch is ever held by two
+// running blocks at once. An explicit scheduler fans out exactly its
+// worker count whatever the work.
+func TestAutoSchedulerWidthFollowsWork(t *testing.T) {
+	const n, workers = 8, 4
+	var (
+		hits   []int32
+		mu     sync.Mutex
+		blocks map[*sim.WorkerScratch]*int32 // scratch -> running invocations
+	)
+	enter := func(ws *sim.WorkerScratch, i int) *int32 {
+		atomic.AddInt32(&hits[i], 1)
+		mu.Lock()
+		c := blocks[ws]
+		if c == nil {
+			c = new(int32)
+			blocks[ws] = c
+		}
+		mu.Unlock()
+		if atomic.AddInt32(c, 1) != 1 {
+			t.Errorf("index %d: WorkerScratch %p held by two running blocks", i, ws)
+		}
+		return c
+	}
+	trivial := func(ws *sim.WorkerScratch, i int) {
+		atomic.AddInt32(enter(ws, i), -1)
+	}
+	heavy := func(ws *sim.WorkerScratch, i int) {
+		c := enter(ws, i)
+		for t0 := time.Now(); time.Since(t0) < sim.MinWorkPerWorker; {
+		}
+		atomic.AddInt32(c, -1)
+	}
+	// width runs one ForEach and returns how many blocks it used.
+	width := func(s *sim.Scheduler, fn func(*sim.WorkerScratch, int)) int {
+		hits = make([]int32, n)
+		blocks = make(map[*sim.WorkerScratch]*int32)
+		s.ForEach(n, fn)
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("index %d ran %d times", i, h)
+			}
+		}
+		return len(blocks)
+	}
+
+	auto := sim.NewAutoScheduler(workers)
+	for call := 0; call < 4; call++ {
+		if w := width(auto, trivial); w != 1 {
+			t.Errorf("call %d: trivial site ran at width %d, want 1", call, w)
+		}
+		want := workers
+		if call == 0 {
+			want = 1 // no estimate yet: the first call measures inline
+		}
+		if w := width(auto, heavy); w != want {
+			t.Errorf("call %d: heavy site ran at width %d, want %d", call, w, want)
+		}
+	}
+	if w := width(sim.NewScheduler(workers), trivial); w != workers {
+		t.Errorf("explicit Workers=%d ran a trivial phase at width %d", workers, w)
+	}
+}
+
+// TestAutoWidthRule pins auto mode's width rule as a pure function of
+// the estimated phase work and the worker cap.
+func TestAutoWidthRule(t *testing.T) {
+	m := sim.MinWorkPerWorker
+	cases := []struct {
+		name    string
+		work    time.Duration
+		workers int
+		want    int
+	}{
+		{"first call: no estimate runs inline", 0, 8, 1},
+		{"under one share clamps at 1", m / 2, 8, 1},
+		{"just under two shares stays inline", 2*m - 1, 8, 1},
+		{"two shares split two ways", 2 * m, 8, 2},
+		{"one worker per share", 5*m + m/2, 8, 5},
+		{"clamped at workers", 100 * m, 8, 8},
+		{"clamped at a 2-worker cap", 100 * m, 2, 2},
+	}
+	for _, tc := range cases {
+		if got := sim.AutoWidth(tc.work, tc.workers); got != tc.want {
+			t.Errorf("%s: AutoWidth(%v, %d) = %d, want %d", tc.name, tc.work, tc.workers, got, tc.want)
 		}
 	}
 }

@@ -133,7 +133,8 @@ func decodeResult(row [numMetrics]uint64) Result {
 type Runner struct {
 	// Workers is sim.Config.Workers for each unit's engine: a pure
 	// throughput knob — every worker count replays byte-identically, so
-	// results are unaffected. 0 selects GOMAXPROCS.
+	// results are unaffected. 0 means auto (work-based fan-out, up to
+	// GOMAXPROCS); N > 0 means exactly N.
 	Workers int
 }
 

@@ -2,15 +2,19 @@
 # Run the per-beat cost benchmark (the simulator's throughput metric) and
 # record it as BENCH_beat.json so the perf trajectory is comparable across
 # PRs. Extra args are passed to `go test` (e.g. -benchtime=100x for a CI
-# smoke run, -benchtime=2s -count=5 for a stable local measurement).
+# smoke run, -count=5 for a stable local measurement: benchjson records
+# each benchmark's median with its ns/op min and max, and stores names
+# without the -GOMAXPROCS suffix, keeping the core count as "procs").
 #
 #   ./scripts/bench.sh                 # default benchtime
 #   ./scripts/bench.sh -benchtime=100x # CI smoke
+#   ./scripts/bench.sh -count=5        # re-record BENCH_beat.json
 #
 # Regression gate: after recording, the fresh run is compared against the
 # committed BENCH_beat.json (the previous PR's recorded run). A >15%
-# ns/op regression prints a warning locally and fails the script when
-# BENCH_GATE=1 (the CI workflow sets it). Tune the threshold with
+# ns/op regression, or a committed entry the fresh run no longer has,
+# prints a warning locally and fails the script when BENCH_GATE=1 (the
+# CI workflow sets it). Tune the threshold with
 # BENCH_GATE_THRESHOLD=<percent>.
 #
 # The resident-memory series (BenchmarkResidentTenants, one iteration
